@@ -122,6 +122,11 @@ func TestServeSessionConformance(t *testing.T) {
 		`{"op":"transmogrify"}`,
 		`{"op":"mine","params":{"k":"many"}}`,
 		`{"op":"diff","params":{"a":"brain","b":"brain"}}`,
+		`{"op":"rangesearch","params":{"firsttag":"500","lasttag":"100"}}`,
+		`{"op":"rangesearch","params":{"firsttag":"-1"}}`,
+		`{"op":"rangesearch","params":{"lasttag":"-5"}}`,
+		`{"op":"rangesearch","params":{"firsttag":"4294967296"}}`,
+		`{"op":"rangesearch","params":{"a":"brain","b":"breast","firsttag":"4294967295"}}`,
 		`not json`,
 	} {
 		if rr := do(t, mux, http.MethodPost, "/session/alpha/run", body); rr.Code != http.StatusBadRequest {

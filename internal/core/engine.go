@@ -381,8 +381,9 @@ func selectSumyZones(c *exec.Ctl, name string, s *Sumy, spec RangeSpec) (_ *Sumy
 	return NewSumy(name, rows, s.ExtraCols), partial, nil
 }
 
-// RangeSearchEngine is RangeSearchWith with an explicit engine; see
-// rangeSearch for the columnar collection strategy.
-func RangeSearchEngine(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition, eng Engine) ([]RangeSearchRow, bool, error) {
-	return rangeSearch(c, sumys, firstTag, lastTag, cond, sumyColumnar(eng))
+// RangeSearchEngine is RangeSearchWith with an explicit engine. Range
+// search reads only the tag-sorted SUMY rows, never the expression
+// matrix, so both engines run the same merge and the choice is moot.
+func RangeSearchEngine(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition, _ Engine) ([]RangeSearchRow, bool, error) {
+	return RangeSearchWith(c, sumys, firstTag, lastTag, cond)
 }

@@ -97,22 +97,12 @@ func RangeSearchCtx(ctx context.Context, sumys []*Sumy, firstTag, lastTag sage.T
 }
 
 // RangeSearchWith is the metered implementation; one work unit is one
-// SUMY row scanned during tag collection or one candidate tag checked.
-// Both phases evaluate through the shard substrate: collection marks
-// per-row hits and checking fills per-tag rows, each worker touching
-// only its own slots, so the report is bit-identical at any worker
+// SUMY row during tag collection or one candidate tag checked.
+// Collection merges the tables' in-window rows (mergeCandidates).
+// Checking evaluates through the shard substrate, each worker filling
+// only its own rows, so the report is bit-identical at any worker
 // count. The condition must be a pure function of its interval.
-func RangeSearchWith(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition) ([]RangeSearchRow, bool, error) {
-	return rangeSearch(c, sumys, firstTag, lastTag, cond, false)
-}
-
-// rangeSearch is the shared implementation behind RangeSearchWith and
-// RangeSearchEngine. The engines differ only in how collection marks
-// hits: the row engine compares every row's tag against the bounds,
-// the columnar engine binary-searches the tag-sorted run once per
-// table and tests span membership. Both charge one unit per row, so
-// traces and budget prefixes are identical.
-func rangeSearch(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition, columnarScan bool) (_ []RangeSearchRow, partial bool, err error) {
+func RangeSearchWith(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond RangeCondition) (_ []RangeSearchRow, partial bool, err error) {
 	sp := c.StartSpan("core.RangeSearch")
 	sp.SetInput("%d sumy tables, tag range %v-%v", len(sumys), firstTag, lastTag)
 	defer c.EndSpan(sp, &partial, &err)
@@ -122,70 +112,37 @@ func rangeSearch(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond 
 	if firstTag > lastTag {
 		return nil, false, fmt.Errorf("core: tag range %v-%v is inverted", firstTag, lastTag)
 	}
-	// Collect candidate tags in range from all tables. A budget stop
-	// during collection discards the incomplete candidate set: a report
-	// built from half-collected tags would not be a prefix of the full
-	// report.
-	tagSet := map[sage.TagID]bool{}
-	for _, s := range sumys {
-		spanLo, spanHi := 0, len(s.Rows)
-		if columnarScan {
-			spanLo = sort.Search(len(s.Rows), func(i int) bool { return s.Rows[i].Tag >= firstTag })
-			spanHi = sort.Search(len(s.Rows), func(i int) bool { return s.Rows[i].Tag > lastTag })
-		}
-		hit := make([]bool, len(s.Rows))
-		_, partial, err := shard.For(c, len(s.Rows), 0, func(c *exec.Ctl, _, lo, hi int) (int, error) {
-			for i := lo; i < hi; i++ {
-				if err := c.Point(1); err != nil {
-					return i - lo, err
-				}
-				if columnarScan {
-					hit[i] = i >= spanLo && i < spanHi
-				} else {
-					hit[i] = s.Rows[i].Tag >= firstTag && s.Rows[i].Tag <= lastTag
-				}
-			}
-			return hi - lo, nil
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		if partial {
-			return nil, true, nil
-		}
-		for i, r := range s.Rows {
-			if hit[i] {
-				tagSet[r.Tag] = true
-			}
-		}
+	// A budget stop during collection discards the incomplete candidate
+	// set: a report built from half-collected tags would not be a
+	// prefix of the full report.
+	tags, at, err := mergeCandidates(c, sumys, firstTag, lastTag)
+	if exec.IsBudget(err) {
+		return nil, true, nil
 	}
-	tags := make([]sage.TagID, 0, len(tagSet))
-	//lint:gea ctlcharge -- set-to-slice materialization; every tag was charged on collection and is charged again when checked
-	for t := range tagSet {
-		tags = append(tags, t)
+	if err != nil {
+		return nil, false, err
 	}
-	sortTags(tags)
 
+	k := len(sumys)
 	out := make([]RangeSearchRow, len(tags))
+	cells := make([]RangeCell, len(tags)*k) // one backing array for every row's cells
 	prefix, partial, err := shard.For(c, len(tags), 0, func(c *exec.Ctl, _, lo, hi int) (int, error) {
 		for j := lo; j < hi; j++ {
 			if err := c.Point(1); err != nil {
 				return j - lo, err
 			}
-			t := tags[j]
-			row := RangeSearchRow{Tag: t, Cells: make([]RangeCell, len(sumys))}
+			row := cells[j*k : (j+1)*k : (j+1)*k]
 			for i, s := range sumys {
-				sr, ok := s.Row(t)
-				switch {
-				case !ok:
-					row.Cells[i] = RangeCell{Outcome: RangeNotExist}
-				case cond(sr.Range):
-					row.Cells[i] = RangeCell{Outcome: RangeSatisfied, Range: sr.Range}
+				switch r := at[j*k+i]; {
+				case r < 0:
+					row[i] = RangeCell{Outcome: RangeNotExist}
+				case cond(s.Rows[r].Range):
+					row[i] = RangeCell{Outcome: RangeSatisfied, Range: s.Rows[r].Range}
 				default:
-					row.Cells[i] = RangeCell{Outcome: RangeNo}
+					row[i] = RangeCell{Outcome: RangeNo}
 				}
 			}
-			out[j] = row
+			out[j] = RangeSearchRow{Tag: tags[j], Cells: row}
 		}
 		return hi - lo, nil
 	})
@@ -193,6 +150,54 @@ func rangeSearch(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID, cond 
 		return nil, false, err
 	}
 	return out[:prefix], partial, nil
+}
+
+// mergeCandidates merges the tables' in-window rows, each table already
+// sorted by tag (NewSumy sorts it), into the ascending, duplicate-free
+// tags in [firstTag, lastTag]. For candidate j, at[j*len(sumys)+i] is
+// the index of its row in sumys[i], or -1 where that table lacks the
+// tag; within a table a repeated tag resolves to its last row, as
+// Sumy.Row does. Each table's window is found by binary search. Every
+// row is still charged one unit, in the window or not, so the charge
+// does not depend on where the window lies. Finding the smallest head
+// costs O(len(sumys)) per step, which beats a heap for the two or three
+// tables a search compares.
+func mergeCandidates(c *exec.Ctl, sumys []*Sumy, firstTag, lastTag sage.TagID) (tags []sage.TagID, at []int32, err error) {
+	next := make([]int, len(sumys)) // first unmerged row of each window
+	end := make([]int, len(sumys))  // end of each window
+	for i, s := range sumys {
+		next[i] = sort.Search(len(s.Rows), func(j int) bool { return s.Rows[j].Tag >= firstTag })
+		end[i] = sort.Search(len(s.Rows), func(j int) bool { return s.Rows[j].Tag > lastTag })
+		for n := len(s.Rows) - (end[i] - next[i]); n > 0; n-- {
+			if err := c.Point(1); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	for {
+		var t sage.TagID
+		found := false
+		for i, s := range sumys {
+			if next[i] < end[i] && (!found || s.Rows[next[i]].Tag < t) {
+				t, found = s.Rows[next[i]].Tag, true
+			}
+		}
+		if !found {
+			return tags, at, nil
+		}
+		for i, s := range sumys {
+			r := int32(-1)
+			for next[i] < end[i] && s.Rows[next[i]].Tag == t {
+				if err := c.Point(1); err != nil {
+					return nil, nil, err
+				}
+				r = int32(next[i])
+				next[i]++
+			}
+			at = append(at, r)
+		}
+		tags = append(tags, t)
+	}
 }
 
 // AnyTagSearch returns every tag of the SUMY table whose range satisfies the
@@ -206,14 +211,6 @@ func AnyTagSearch(s *Sumy, cond RangeCondition) []SumyRow {
 		}
 	}
 	return out
-}
-
-func sortTags(tags []sage.TagID) {
-	for i := 1; i < len(tags); i++ {
-		for j := i; j > 0 && tags[j-1] > tags[j]; j-- {
-			tags[j-1], tags[j] = tags[j], tags[j-1]
-		}
-	}
 }
 
 // FrequencyResult is one row of an expression-value search: a tag's levels

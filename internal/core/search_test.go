@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"gea/internal/interval"
@@ -132,5 +134,31 @@ func TestSingleTagSearch(t *testing.T) {
 func TestRangeOutcomeString(t *testing.T) {
 	if RangeSatisfied.String() != "OK" || RangeNo.String() != "NO" || RangeNotExist.String() != "NE" {
 		t.Error("outcome strings wrong")
+	}
+}
+
+// BenchmarkRangeSearchFullRange searches the whole tag range of two
+// SUMYs the size of the full corpus's tissue tables (57.5k rows each,
+// most tags shared). Candidate collection must stay linear in the rows:
+// here a quadratic step costs seconds per op instead of milliseconds.
+func BenchmarkRangeSearchFullRange(b *testing.B) {
+	const universe, rowsPer = 70_000, 57_500
+	rng := rand.New(rand.NewSource(1))
+	mk := func(name string) *Sumy {
+		rows := make([]SumyRow, rowsPer)
+		for i, t := range rng.Perm(universe)[:rowsPer] {
+			lo := rng.Float64() * 100
+			rows[i] = SumyRow{Tag: sage.TagID(t), Range: interval.New(lo, lo+rng.Float64()*500)}
+		}
+		return NewSumy(name, rows, nil)
+	}
+	sumys := []*Sumy{mk("full_a"), mk("full_b")}
+	cond := BroadOverlap(interval.New(5, 40))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RangeSearch(sumys, 0, math.MaxUint32, cond); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"gea/internal/clean"
@@ -148,6 +149,22 @@ func paramInt(raw map[string]string, key string, def int) (int, error) {
 		return 0, &ParamError{Param: key, Reason: fmt.Sprintf("not an integer: %q", v)}
 	}
 	return n, nil
+}
+
+// paramTag parses a tag bound: a TagID in decimal, 0 when absent.
+func paramTag(raw map[string]string, key string) (sage.TagID, error) {
+	n, err := paramInt(raw, key, 0)
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 || uint64(n) > math.MaxUint32 {
+		return 0, &ParamError{Param: key, Reason: fmt.Sprintf("tag %d is outside [0, %d]", n, uint32(math.MaxUint32))}
+	}
+	return sage.TagID(n), nil
+}
+
+func invertedTags(first, last sage.TagID) error {
+	return &ParamError{Param: "firsttag/lasttag", Reason: fmt.Sprintf("inverted tag range [%d, %d]", first, last)}
 }
 
 func paramFloat(raw map[string]string, key string, def float64) (float64, error) {
@@ -390,7 +407,7 @@ func buildSelect(raw map[string]string) (any, computeFn, error) {
 type rangeSearchParams struct {
 	TissueA, TissueB  string
 	Lo, Hi            float64
-	FirstTag, LastTag int
+	FirstTag, LastTag sage.TagID
 }
 
 func buildRangeSearch(raw map[string]string) (any, computeFn, error) {
@@ -405,16 +422,28 @@ func buildRangeSearch(raw map[string]string) (any, computeFn, error) {
 	if hi < lo {
 		return nil, nil, &ParamError{Param: "lo/hi", Reason: fmt.Sprintf("inverted query range [%g, %g]", lo, hi)}
 	}
-	first, err := paramInt(raw, "firsttag", 0)
+	first, err := paramTag(raw, "firsttag")
 	if err != nil {
 		return nil, nil, err
 	}
-	last, err := paramInt(raw, "lasttag", 0)
+	last, err := paramTag(raw, "lasttag")
 	if err != nil {
 		return nil, nil, err
+	}
+	// lasttag 0 (or absent) means the corpus's last tag, known only
+	// against the snapshot; compute checks the order then.
+	if last > 0 && first > last {
+		return nil, nil, invertedTags(first, last)
 	}
 	p := rangeSearchParams{TissueA: raw["a"], TissueB: raw["b"], Lo: lo, Hi: hi, FirstTag: first, LastTag: last}
 	compute := func(c *exec.Ctl, data *sage.Dataset) (any, int64, bool, error) {
+		last := p.LastTag
+		if last == 0 && data.NumTags() > 0 {
+			last = data.Tags[len(data.Tags)-1]
+		}
+		if p.FirstTag > last {
+			return nil, 0, false, invertedTags(p.FirstTag, last)
+		}
 		var sumys []*core.Sumy
 		partial := false
 		for _, tissue := range []string{p.TissueA, p.TissueB} {
@@ -428,11 +457,7 @@ func buildRangeSearch(raw map[string]string) (any, computeFn, error) {
 			partial = partial || pa
 			sumys = append(sumys, sm)
 		}
-		last := sage.TagID(p.LastTag)
-		if p.LastTag <= 0 && data.NumTags() > 0 {
-			last = data.Tags[len(data.Tags)-1]
-		}
-		rows, pr, err := core.RangeSearchWith(c, sumys, sage.TagID(p.FirstTag), last,
+		rows, pr, err := core.RangeSearchWith(c, sumys, p.FirstTag, last,
 			core.BroadOverlap(interval.New(p.Lo, p.Hi)))
 		if err != nil {
 			return nil, 0, false, err

@@ -233,6 +233,15 @@ func TestSessionRunRejectsBadParams(t *testing.T) {
 		{"topgap missing tissue", Request{Op: "topgap", Params: map[string]string{"a": "brain"}}},
 		{"topgap zero x", Request{Op: "topgap", Params: map[string]string{"a": "brain", "b": "breast", "x": "0"}}},
 		{"inverted range", Request{Op: "rangesearch", Params: map[string]string{"lo": "9", "hi": "1"}}},
+		{"inverted tags", Request{Op: "rangesearch", Params: map[string]string{"firsttag": "500", "lasttag": "100"}}},
+		{"negative firsttag", Request{Op: "rangesearch", Params: map[string]string{"firsttag": "-1"}}},
+		{"negative lasttag", Request{Op: "rangesearch", Params: map[string]string{"lasttag": "-5"}}},
+		{"firsttag past uint32", Request{Op: "rangesearch", Params: map[string]string{"firsttag": "4294967296"}}},
+		{"lasttag past uint32", Request{Op: "rangesearch", Params: map[string]string{"lasttag": "99999999999"}}},
+		// lasttag absent or 0 means the corpus's last tag, which only
+		// the compute step knows; a firsttag above it is still a 400.
+		{"firsttag past last tag", Request{Op: "rangesearch", Params: map[string]string{"a": "brain", "firsttag": "4294967295"}}},
+		{"firsttag past last tag, lasttag 0", Request{Op: "rangesearch", Params: map[string]string{"a": "brain", "firsttag": "4294967295", "lasttag": "0"}}},
 		{"populate no tissue", Request{Op: "populate"}},
 		{"unknown tissue", Request{Op: "aggregate", Params: map[string]string{"tissue": "gills"}}},
 	}
@@ -246,6 +255,30 @@ func TestSessionRunRejectsBadParams(t *testing.T) {
 	// Runs against dead sessions fail typed before touching the op table.
 	if _, err := m.Run(ctx, "nope", Request{Op: "aggregate"}); !errors.Is(err, ErrSessionUnknown) {
 		t.Errorf("run on unknown session: err=%v, want ErrSessionUnknown", err)
+	}
+}
+
+// TestSessionRangeSearchAcceptsTagBounds pins the valid side of the
+// tag-bound contract: 0 still means "last tag", a one-tag window is
+// fine, and the largest uint32 is a valid lasttag.
+func TestSessionRangeSearchAcceptsTagBounds(t *testing.T) {
+	sys, _ := newSessionSystem(t)
+	m := NewManager(sys, Options{})
+	if _, err := m.Create("s", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, bounds := range []map[string]string{
+		{"firsttag": "0", "lasttag": "0"},
+		{"firsttag": "100", "lasttag": "100"},
+		{"firsttag": "100", "lasttag": "4294967295"},
+	} {
+		params := map[string]string{"a": "brain", "b": "breast", "lo": "5", "hi": "40"}
+		for k, v := range bounds {
+			params[k] = v
+		}
+		if _, err := m.Run(context.Background(), "s", Request{Op: "rangesearch", Params: params}); err != nil {
+			t.Errorf("%v: %v", bounds, err)
+		}
 	}
 }
 
